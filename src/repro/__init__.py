@@ -3,6 +3,6 @@
 
 Subpackages: ``bayesnet`` (network substrate), ``distmon`` (distributed
 counter protocol), ``stream`` (Spark dataflow), ``core`` (the paper's
-algorithms), plus ``experiments`` (table/figure harness), ``synth_data``
-(generators) and ``oracle`` (DuckDB result-equality checks).
+algorithms), plus ``experiments`` (table/figure harness) and ``oracle``
+(DuckDB result-equality checks).
 """

@@ -142,36 +142,9 @@ class BayesNet:
             return np.zeros(X.shape[0], dtype=np.int64)
         return (X[:, ps].astype(np.int64) * self._strides[i]).sum(axis=1)
 
-    def family_ids(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Global family-counter ids for events ``X`` at node ``i``."""
-        pidx = self.parent_config_index(X, i)
-        return self.fam_offset[i] + pidx * self.cards[i] + X[:, i].astype(np.int64)
-
-    def parent_ids(self, X: np.ndarray, i: int) -> np.ndarray:
-        """Global parent-counter ids for events ``X`` at node ``i``."""
-        return self.par_offset[i] + self.parent_config_index(X, i)
-
-    def all_counter_ids(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(m, n) family and parent counter-id matrices for events ``X``."""
-        m = X.shape[0]
-        fam = np.empty((m, self.n), dtype=np.int64)
-        par = np.empty((m, self.n), dtype=np.int64)
-        for i in range(self.n):
-            pidx = self.parent_config_index(X, i)
-            fam[:, i] = self.fam_offset[i] + pidx * self.cards[i] + X[:, i]
-            par[:, i] = self.par_offset[i] + pidx
-        return fam, par
-
-    def counter_owner(self) -> np.ndarray:
-        """``(n_counters,)`` map from global counter id to owning variable."""
-        owner = np.empty(self.n_counters, dtype=np.int64)
-        for i in range(self.n):
-            owner[self.fam_offset[i] : self.fam_offset[i + 1]] = i
-            owner[self.par_offset[i] : self.par_offset[i + 1]] = i
-        return owner
-
-    def decode_family_id(self, cid: int) -> tuple[int, int, int]:
-        """Inverse of the family-id mapping: ``(i, x_i, x_par_index)``."""
-        i = int(np.searchsorted(self.fam_offset, cid, side="right") - 1)
-        off = cid - int(self.fam_offset[i])
-        return i, off % int(self.cards[i]), off // int(self.cards[i])
+    def counter_ids(
+        self, i: int, xi: np.ndarray, pidx: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global ``(family_id, parent_id)`` of node ``i``'s cells
+        ``(x_i, x_par)``, with ``pidx`` from :meth:`parent_config_index`."""
+        return self.fam_offset[i] + pidx * self.cards[i] + xi, self.par_offset[i] + pidx

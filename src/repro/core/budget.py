@@ -73,7 +73,7 @@ def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
     shared-counter error ``eps/(3n)``. The root's own (parentless)
     family/parent counters also use ``eps/(3n)``. The learner maintains
     one *physical* shared counter per root value; see
-    ``learner.train_many(naive_bayes_shared=True)``.
+    ``learner.train_many(algos=["nb-shared"])``.
     """
     if any(p != [0] for p in net.parents[1:]) or net.parents[0]:
         raise ValueError("naive_bayes_eps requires root-0 naive-Bayes structure")

@@ -100,14 +100,16 @@ class BatchCounterEngine:
         self.f[cid, sid] = fstart + n
 
         # Trailing-failure geometric (0 when p == 1: every item reports).
+        # Clamped to n before the cast: any G >= n means "no message",
+        # and u == 0 would otherwise give G = +inf.
         u = self.rng.random(len(cid))
         sat = p_rows >= 1.0
         with np.errstate(divide="ignore"):
             G = np.where(
                 sat,
                 0,
-                np.floor(
-                    np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))
+                np.minimum(
+                    np.floor(np.log(u) / np.log1p(-np.minimum(p_rows, 1.0 - 1e-16))), n
                 ).astype(np.int64),
             )
         has_msg = G < n

@@ -46,6 +46,13 @@ class TestOracle:
         got = aggregate_events_df(spark, g.net, sdf, k=3)
         oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
 
+    @pytest.mark.parametrize("name", ["alarm"])
+    def test_oracle_on_paper_network(self, spark, name):
+        g = networks.ground_truth(name, seed=2)
+        events = events_pandas(g, 0, 1000, k=4, seed=2)
+        got = aggregate_events_df(spark, g.net, spark.createDataFrame(events), k=4)
+        oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
+
     def test_oracle_catches_wrong_result(self, spark, gt):
         """Negative control: a corrupted aggregation must fail the oracle."""
         events = events_pandas(gt, 0, 500, k=3, seed=9)

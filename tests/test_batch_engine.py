@@ -79,6 +79,31 @@ class TestEngineBasics:
         np.testing.assert_array_equal(e1, e2)
 
 
+class _ZeroUniform:
+    """Protocol RNG whose uniform draws are all 0.0, the edge of [0, 1)."""
+
+    def __init__(self, rng):
+        self.binomial = rng.binomial
+
+    def random(self, size):
+        return np.zeros(size)
+
+
+class TestEngineEdges:
+    def test_zero_uniform_draw_sends_no_message(self):
+        """u = 0 makes the trailing-failure count G infinite, i.e. no
+        message in the batch; it must not overflow the int64 cast."""
+        e = single(eps=0.1, k=2, proto_c=0.1, nc=2)
+        e.update(np.array([0, 1]), np.array([0, 0]), np.array([10_000, 10_000]))
+        assert np.all(e.p < 1.0)
+        e.p[1] = 1.0  # one saturated row in the same batch
+        e.rng = _ZeroUniform(e.rng)
+        before = e.total_messages
+        e.update(np.array([0, 1]), np.array([1, 1]), np.array([50, 3]))
+        assert e.total_messages == before + 3
+        assert e.r[0, 1] == 0 and e.r[1, 1] == 3
+
+
 class TestDecompositionExactness:
     """The (Geometric suffix, Binomial prefix) sampling must reproduce the
     per-item Bernoulli process exactly: message probability, message

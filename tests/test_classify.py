@@ -8,6 +8,7 @@ from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
 from repro.core import classify
 from repro.core.model import CountModel
+from repro.stream.aggregate import aggregate_local
 
 
 @pytest.fixture(scope="module")
@@ -55,12 +56,8 @@ class TestPredictOne:
         """Markov-blanket argmax == full-joint argmax also for learned
         CountModels (all assignments enumerated)."""
         gt = GroundTruth.random(networks.chain(4, J=2), seed=9)
-        X = sampling.sample_events(gt, 0, 4000, seed=10)
-        counts = np.zeros(gt.net.n_counters)
-        fam, par = gt.net.all_counter_ids(X)
-        counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        model = CountModel(gt.net, counts)
+        cid, _, n = aggregate_local(gt, 0, 4000, k=1, seed=10)
+        model = CountModel(gt.net, np.bincount(cid, weights=n, minlength=gt.net.n_counters))
         for x in itertools.product(range(2), repeat=4):
             x = np.array(x, dtype=np.int64)
             for t in range(4):
@@ -108,12 +105,8 @@ class TestErrorRate:
 
     def test_learned_model_close_to_ground_truth_classifier(self):
         gt = GroundTruth.random(networks.chain(6, J=3), seed=12, alpha=0.3)
-        X = sampling.sample_events(gt, 0, 60_000, seed=13)
-        counts = np.zeros(gt.net.n_counters)
-        fam, par = gt.net.all_counter_ids(X)
-        counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        model = CountModel(gt.net, counts)
+        cid, _, n = aggregate_local(gt, 0, 60_000, k=1, seed=13)
+        model = CountModel(gt.net, np.bincount(cid, weights=n, minlength=gt.net.n_counters))
         Xt, targets = classify.make_tests(gt, 500, seed=14)
         err_model = classify.error_rate(model, gt.net, Xt, targets)
         err_true = classify.error_rate(gt, gt.net, Xt, targets)

@@ -9,6 +9,7 @@ from repro.core.model import (
     mean_abs_ratio_error,
     median_abs_ratio_error,
 )
+from repro.stream.aggregate import aggregate_local
 
 
 @pytest.fixture(scope="module")
@@ -16,12 +17,10 @@ def gt():
     return GroundTruth.random(networks.chain(4, J=3), seed=2)
 
 
-def exact_counts(gt, X, sites=None):
-    counts = np.zeros(gt.net.n_counters, dtype=np.int64)
-    fam, par = gt.net.all_counter_ids(X)
-    counts += np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-    counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-    return counts
+def exact_counts(gt, lo, hi, seed):
+    """Exact counter values of stream events ``[lo, hi)``."""
+    cid, _, n = aggregate_local(gt, lo, hi, k=1, seed=seed)
+    return np.bincount(cid, weights=n, minlength=gt.net.n_counters)
 
 
 class TestCountModel:
@@ -37,8 +36,7 @@ class TestCountModel:
         """With exact counts and lam -> 0, the model factor equals the
         empirical conditional frequency (Lemma 2)."""
         X = sampling.sample_events(gt, 0, 5000, seed=3)
-        counts = exact_counts(gt, X)
-        m = CountModel(gt.net, counts.astype(float), lam=1e-12)
+        m = CountModel(gt.net, exact_counts(gt, 0, 5000, seed=3), lam=1e-12)
         i = 1
         pidx = gt.net.parent_config_index(X, i)
         # empirical P[X1 = x | X0 = 0]
@@ -49,8 +47,7 @@ class TestCountModel:
 
     def test_log_prob_sums_factors(self, gt):
         X = sampling.sample_events(gt, 0, 10, seed=4)
-        counts = exact_counts(gt, X)
-        m = CountModel(gt.net, counts.astype(float))
+        m = CountModel(gt.net, exact_counts(gt, 0, 10, seed=4))
         lp = m.log_prob(X[:3])
         manual = np.zeros(3)
         for i in range(gt.net.n):
@@ -60,8 +57,7 @@ class TestCountModel:
     def test_mle_converges_to_ground_truth(self, gt):
         """Lemma 3: with enough data the MLE's joint ratio to the ground
         truth approaches 1."""
-        Xbig = sampling.sample_events(gt, 0, 200_000, seed=5)
-        m = CountModel(gt.net, exact_counts(gt, Xbig).astype(float))
+        m = CountModel(gt.net, exact_counts(gt, 0, 200_000, seed=5))
         Xt = sampling.sample_events(gt, 1 << 41, (1 << 41) + 500, seed=6)
         err = mean_abs_ratio_error(m.log_prob(Xt), gt.log_prob(Xt))
         assert err < 0.05
@@ -70,8 +66,7 @@ class TestCountModel:
         Xt = sampling.sample_events(gt, 1 << 41, (1 << 41) + 500, seed=6)
         errs = []
         for m_events in [500, 5000, 50_000]:
-            X = sampling.sample_events(gt, 0, m_events, seed=7)
-            mdl = CountModel(gt.net, exact_counts(gt, X).astype(float))
+            mdl = CountModel(gt.net, exact_counts(gt, 0, m_events, seed=7))
             errs.append(mean_abs_ratio_error(mdl.log_prob(Xt), gt.log_prob(Xt)))
         assert errs[0] > errs[1] > errs[2]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bayesnet import networks, sampling
 from repro.bayesnet.cpd import GroundTruth
+from repro.stream.aggregate import aggregate_local
 
 
 @pytest.fixture(scope="module")
@@ -67,13 +68,9 @@ class TestDistribution:
         """Empirical counter frequencies ~= analytic per-counter
         probabilities on a tree network."""
         gt = GroundTruth.random(networks.chain(5, J=2), seed=7)
-        X = sampling.sample_events(gt, 0, 50_000, seed=8)
-        probs = gt.exact_counter_probs()
-        fam, par = gt.net.all_counter_ids(X)
-        counts = np.bincount(fam.ravel(), minlength=gt.net.n_counters)
-        counts += np.bincount(par.ravel(), minlength=gt.net.n_counters)
-        emp = counts / len(X)
-        np.testing.assert_allclose(emp, probs, atol=0.02)
+        cid, _, n = aggregate_local(gt, 0, 50_000, k=1, seed=8)
+        emp = np.bincount(cid, weights=n, minlength=gt.net.n_counters) / 50_000
+        np.testing.assert_allclose(emp, gt.exact_counter_probs(), atol=0.02)
 
     def test_sites_uniform(self):
         s = sampling.sample_sites(0, 60_000, k=30, seed=9)

@@ -108,39 +108,30 @@ class TestCounterIndex:
         X = np.array(
             [[a, b, c] for a in range(2) for b in range(3) for c in range(4)]
         )
-        fam2 = net.family_ids(X, 2)
+        fam2, _ = net.counter_ids(2, X[:, 2], net.parent_config_index(X, 2))
         assert len(set(fam2.tolist())) == 24
         lo, hi = net.fam_offset[2], net.fam_offset[3]
         assert fam2.min() >= lo and fam2.max() < hi
 
-    def test_decode_family_id_inverse(self):
-        net = tiny_vee()
-        X = np.array([[1, 2, 3]])
-        cid = int(net.family_ids(X, 2)[0])
-        i, xi, pidx = net.decode_family_id(cid)
-        assert (i, xi) == (2, 3)
-        assert pidx == int(net.parent_config_index(X, 2)[0])
-
-    def test_all_counter_ids_matches_per_node(self):
-        net = networks.make("alarm")
-        rng = np.random.default_rng(0)
-        X = np.stack([rng.integers(0, net.cards[i], 50) for i in range(net.n)], axis=1)
-        fam, par = net.all_counter_ids(X)
-        for i in [0, 5, net.n - 1]:
-            assert np.array_equal(fam[:, i], net.family_ids(X, i))
-            assert np.array_equal(par[:, i], net.parent_ids(X, i))
-
     def test_blocks_disjoint(self):
         net = tiny_vee()
-        owner = net.counter_owner()
-        assert len(owner) == net.n_counters
-        # Family block of node i and parent blocks never overlap.
+        # Family blocks, then parent blocks, tile [0, n_counters) in order.
+        assert net.fam_offset[0] == 0
         assert net.par_offset[0] == net.fam_offset[-1]
+        assert net.par_offset[-1] == net.n_counters
 
     @pytest.mark.parametrize("name", ["alarm", "hepar2"])
-    def test_counter_owner_counts(self, name):
+    def test_counter_ids_bijective(self, name):
+        """Every counter id is exactly one family cell ``(i, x_i, x_par)``
+        or one parent configuration ``(i, x_par)`` — so the mapping has an
+        inverse and node ``i`` owns ``J_i * K_i + K_i`` counters."""
         net = networks.make(name)
-        owner = net.counter_owner()
-        for i in [0, net.n // 2, net.n - 1]:
-            expect = int(net.cards[i] * net.K[i] + net.K[i])
-            assert int((owner == i).sum()) == expect
+        hits = np.zeros(net.n_counters, dtype=np.int64)
+        for i in range(net.n):
+            J, K = int(net.cards[i]), int(net.K[i])
+            fam, par = net.counter_ids(i, np.tile(np.arange(J), K), np.repeat(np.arange(K), J))
+            assert fam.min() >= net.fam_offset[i] and fam.max() < net.fam_offset[i + 1]
+            assert np.array_equal(par[::J], np.arange(net.par_offset[i], net.par_offset[i + 1]))
+            np.add.at(hits, fam, 1)
+            np.add.at(hits, par[::J], 1)
+        assert np.all(hits == 1)
