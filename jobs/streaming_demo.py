@@ -17,13 +17,13 @@ def main() -> None:
     cfg = Config()
     spark = get_spark()
     gt = networks.ground_truth(name)
-    d = tempfile.mkdtemp(prefix="repro-stream-")
-    nb = stage_stream(spark, gt, d, m=m, k=cfg.k, seed=cfg.seed)
-    print(f"staged {nb} micro-batches under {d}")
-    out = run_streaming_learner(
-        spark, gt, d, k=cfg.k, eps=cfg.eps,
-        algos=["exact", "nonuniform"], seed=cfg.seed, proto_c=cfg.proto_c,
-    )
+    with tempfile.TemporaryDirectory(prefix="repro-stream-") as d:
+        nb = stage_stream(spark, gt, d, m=m, k=cfg.k, seed=cfg.seed)
+        print(f"staged {nb} micro-batches under {d}")
+        out = run_streaming_learner(
+            spark, gt, d, k=cfg.k, eps=cfg.eps,
+            algos=["exact", "nonuniform"], seed=cfg.seed, proto_c=cfg.proto_c,
+        )
     for algo, (model, messages) in out.items():
         print(f"{algo}: {messages:,} messages, model over {model.net.n_counters} counters")
 

@@ -43,18 +43,23 @@ def _sample_chunk(gt: GroundTruth, chunk_id: int, size: int, seed: int) -> np.nd
     return X
 
 
+def chunk_pieces(lo: int, hi: int) -> list[tuple[int, int]]:
+    """``[lo, hi)`` cut at multiples of :data:`CHUNK`: the non-empty
+    ``(a, b)`` pieces in stream order, each inside one chunk."""
+    bounds = [lo, *range((lo // CHUNK + 1) * CHUNK, hi, CHUNK), hi]
+    return [(a, b) for a, b in zip(bounds, bounds[1:]) if a < b]
+
+
 def sample_events(gt: GroundTruth, lo: int, hi: int, *, seed: int) -> np.ndarray:
     """Events ``[lo, hi)`` of the stream — ``(hi-lo, n)`` int32 matrix."""
     if hi <= lo:
         return np.zeros((0, gt.net.n), dtype=np.int32)
     parts = []
-    c0, c1 = lo // CHUNK, (hi - 1) // CHUNK
-    for c in range(c0, c1 + 1):
-        base = c * CHUNK
-        a, b = max(lo, base) - base, min(hi, base + CHUNK) - base
-        # Generate the chunk prefix [0, b) so row b-1 is identical no
-        # matter where the requested range starts, then slice [a, b).
-        parts.append(_sample_chunk(gt, c, b, seed)[a:b])
+    for a, b in chunk_pieces(lo, hi):
+        c, off = divmod(a, CHUNK)
+        # Generate the chunk from its start so every row is identical no
+        # matter where the requested range starts; drop the off rows before a.
+        parts.append(_sample_chunk(gt, c, off + b - a, seed)[off:])
     return np.concatenate(parts, axis=0)
 
 
@@ -67,10 +72,8 @@ def sample_sites(lo: int, hi: int, *, k: int, seed: int) -> np.ndarray:
     if hi <= lo:
         return np.zeros(0, dtype=np.int32)
     parts = []
-    c0, c1 = lo // CHUNK, (hi - 1) // CHUNK
-    for c in range(c0, c1 + 1):
-        base = c * CHUNK
-        a, b = max(lo, base) - base, min(hi, base + CHUNK) - base
+    for a, b in chunk_pieces(lo, hi):
+        c, off = divmod(a, CHUNK)
         rng = np.random.default_rng([seed, 0x517E5, c])
-        parts.append(rng.integers(0, k, b, dtype=np.int32)[a:b])
+        parts.append(rng.integers(0, k, off + b - a, dtype=np.int32)[off:])
     return np.concatenate(parts)

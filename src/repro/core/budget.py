@@ -58,11 +58,13 @@ def per_variable_eps(net: BayesNet, algo: str, eps: float) -> tuple[np.ndarray, 
 def counter_eps(net: BayesNet, algo: str, eps: float) -> np.ndarray:
     """Expand per-variable eps to the flat ``(n_counters,)`` array the
     batch engine consumes: family blocks then parent blocks."""
-    eps_a, eps_b = per_variable_eps(net, algo, eps)
+    return _per_counter(net, *per_variable_eps(net, algo, eps))
+
+
+def _per_counter(net: BayesNet, eps_a: np.ndarray, eps_b: np.ndarray) -> np.ndarray:
+    """Flat per-counter layout of per-variable ``(epsfnA, epsfnB)``."""
     fam_sizes = (net.cards * net.K).astype(np.int64)
-    return np.concatenate(
-        [np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)]
-    )
+    return np.concatenate([np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)])
 
 
 def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
@@ -82,9 +84,7 @@ def naive_bayes_eps(net: BayesNet, eps: float) -> np.ndarray:
     denom = np.sqrt(np.sum(J[1:] ** (2.0 / 3.0)))
     eps_a = np.full(n, eps / (3.0 * n))
     eps_a[1:] = (eps / 16.0) * J[1:] ** (1.0 / 3.0) / denom
-    eps_b = np.full(n, eps / (3.0 * n))
-    fam_sizes = (net.cards * net.K).astype(np.int64)
-    return np.concatenate([np.repeat(eps_a, fam_sizes), np.repeat(eps_b, net.K)])
+    return _per_counter(net, eps_a, np.full(n, eps / (3.0 * n)))
 
 
 def predicted_message_bound(net: BayesNet, algo: str, eps: float, k: int, m: int) -> float:

@@ -126,7 +126,6 @@ def train_many(
     eps: float,
     seed: int,
     first_batch: int = 1024,
-    rows_per_task: int = 16384,
     collect_snapshots: bool = False,
     lam: float = 0.5,
     proto_c: float = 1.0,
@@ -143,9 +142,7 @@ def train_many(
     )
     for lo, hi in batch_ranges(m, first=first_batch):
         if spark is not None:
-            batch = aggregate_generated(
-                spark, gt, lo, hi, k=k, seed=seed, rows_per_task=rows_per_task
-            )
+            batch = aggregate_generated(spark, gt, lo, hi, k=k, seed=seed)
         else:
             batch = aggregate_local(gt, lo, hi, k=k, seed=seed)
         coord.update(hi, *batch)

@@ -3,7 +3,7 @@
 
 The paper's reference numbers are embedded here so the rendered report
 shows *paper vs measured* side by side. Configuration comes from env
-vars so jobs and benchmarks share one knob set:
+vars so jobs and tests share one knob set:
 
 =================  ========  =====================================
 env var            default   meaning

@@ -8,7 +8,6 @@ the coordinator protocol consumes those aggregates on the driver.
 """
 from repro.stream.events import batch_ranges, events_pandas
 from repro.stream.aggregate import (
-    aggregate_events_df,
     aggregate_generated,
     aggregate_local,
     duckdb_counts_sql,
@@ -17,7 +16,6 @@ from repro.stream.aggregate import (
 __all__ = [
     "batch_ranges",
     "events_pandas",
-    "aggregate_events_df",
     "aggregate_generated",
     "aggregate_local",
     "duckdb_counts_sql",

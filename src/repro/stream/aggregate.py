@@ -3,17 +3,17 @@
 Each event increments ``2n`` counters (one family + one parent counter
 per variable). Per micro-batch we only need, for every (counter, site)
 pair, *how many* increments it received — the batched protocol engine is
-exact given those counts (see ``distmon.batch``). Three code paths share
+exact given those counts (see ``distmon.batch``). Two code paths share
 one numpy kernel:
 
-* :func:`aggregate_events_df` — from an explicit Spark events DataFrame;
-  its output is verified row-for-row against an independent DuckDB SQL
-  computation (:func:`duckdb_counts_sql`) by the oracle tests.
-* :func:`aggregate_generated` — Spark partitions generate their slice of
-  the stream deterministically and aggregate in place, so the raw stream
-  (e.g. 50K x 1041 variables for MUNIN) never materializes.
-* :func:`aggregate_local` — driver-side numpy reference, used by unit
-  tests to prove the Spark paths agree with it bit-for-bit.
+* :func:`aggregate_generated` — Spark tasks generate one chunk piece of
+  the stream each (``sampling.chunk_pieces``) and aggregate it in place,
+  so the raw stream (e.g. 50K x 1041 variables for MUNIN) never
+  materializes; a ``groupBy`` merges the task partials. The oracle tests
+  check its output row-for-row against an independent DuckDB SQL
+  computation (:func:`duckdb_counts_sql`).
+* :func:`aggregate_local` — driver-side numpy reference, used for tiny
+  runs and by tests to prove the Spark path agrees with it bit-for-bit.
 """
 from __future__ import annotations
 
@@ -21,11 +21,11 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import SparkSession
 from pyspark.sql import functions as F
 
 from repro.bayesnet.cpd import GroundTruth
-from repro.bayesnet.sampling import sample_events, sample_sites
+from repro.bayesnet.sampling import chunk_pieces, sample_events, sample_sites
 from repro.bayesnet.structure import BayesNet
 
 
@@ -61,32 +61,30 @@ def aggregate_generated(
     *,
     k: int,
     seed: int,
-    rows_per_task: int = 16384,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Spark aggregation with partition-local stream generation.
 
-    Each task generates and aggregates one contiguous slice of the
-    stream (deterministic in ``(seed, slice)`` — see ``sampling``), then
-    a ``groupBy(key).sum`` merges task partials. Returns numpy arrays
-    ``(counter_id, site, n)`` for the coordinator.
+    ``[lo, hi)`` is cut at the sampler's chunk boundaries, and each task
+    generates and aggregates one piece (deterministic in ``(seed,
+    piece)`` — see ``sampling``); a ``groupBy(key).sum`` then merges the
+    task partials. Returns key-sorted numpy arrays ``(counter_id, site,
+    n)`` for the coordinator.
     """
-    bounds = list(range(lo, hi, rows_per_task)) + [hi]
-    tasks = pd.DataFrame(
-        {"lo": bounds[:-1], "hi": bounds[1:]}
-    )
+    pieces = chunk_pieces(lo, hi)
     net = gt.net
 
     def gen_agg(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
         for pdf in batches:
-            for a, b in zip(pdf["lo"], pdf["hi"]):
-                X = sample_events(gt, int(a), int(b), seed=seed)
-                sites = sample_sites(int(a), int(b), k=k, seed=seed)
+            for t in pdf["id"]:
+                a, b = pieces[t]
+                X = sample_events(gt, a, b, seed=seed)
+                sites = sample_sites(a, b, k=k, seed=seed)
                 keys, cnts = _agg_kernel(net, X, sites, k)
                 yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
 
-    sdf = spark.createDataFrame(tasks).repartition(len(tasks))
     out = (
-        sdf.mapInPandas(gen_agg, schema="key long, cnt long")
+        spark.range(len(pieces), numPartitions=len(pieces))
+        .mapInPandas(gen_agg, schema="key long, cnt long")
         .groupBy("key")
         .agg(F.sum("cnt").alias("cnt"))
         .toPandas()
@@ -96,34 +94,6 @@ def aggregate_generated(
     order = np.argsort(keys)
     keys, cnts = keys[order], cnts[order]
     return keys // k, keys % k, cnts
-
-
-def aggregate_events_df(
-    spark: SparkSession, net: BayesNet, events_df: DataFrame, *, k: int
-) -> DataFrame:
-    """Aggregate an explicit events DataFrame (cols ``site, v0..v{n-1}``)
-    to a ``(counter_id, site, n)`` DataFrame — the oracle-checkable path."""
-    vcols = [f"v{i}" for i in range(net.n)]
-
-    def agg(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            if not len(pdf):
-                continue
-            X = pdf[vcols].to_numpy(dtype=np.int32)
-            sites = pdf["site"].to_numpy(dtype=np.int64)
-            keys, cnts = _agg_kernel(net, X, sites, k)
-            yield pd.DataFrame({"key": keys, "cnt": cnts.astype(np.int64)})
-
-    return (
-        events_df.mapInPandas(agg, schema="key long, cnt long")
-        .groupBy("key")
-        .agg(F.sum("cnt").alias("n"))
-        .select(
-            (F.col("key") / k).cast("long").alias("counter_id"),
-            (F.col("key") % k).alias("site"),
-            "n",
-        )
-    )
 
 
 def duckdb_counts_sql(net: BayesNet) -> str:

@@ -67,8 +67,9 @@ def run_streaming_learner(
 
     ``algos`` and the engine seeds are as in :class:`Coordinator`.
     Returns ``{algo: (CountModel, total_messages)}`` once the query drains
-    (``availableNow`` trigger). Each invocation uses a fresh checkpoint
-    so re-running over the same staged stream replays it from the start.
+    (``availableNow`` trigger). Each invocation uses a fresh checkpoint,
+    removed when the query ends, so re-running over the same staged
+    stream replays it from the start.
     """
     import tempfile
 
@@ -88,17 +89,15 @@ def run_streaming_learner(
         hi = int(pdf["event_id"].max()) + 1
         coord.update(hi, keys // k, keys % k, cnts.astype(np.int64))
 
-    q = (
-        spark.readStream.schema(schema)
-        .option("maxFilesPerTrigger", 1)
-        .parquet(os.path.join(stream_dir, "b*.parquet"))
-        .writeStream.foreachBatch(on_batch)
-        .trigger(availableNow=True)
-        .option(
-            "checkpointLocation",
-            tempfile.mkdtemp(prefix="repro-stream-ckpt-"),
+    with tempfile.TemporaryDirectory(prefix="repro-stream-ckpt-") as ckpt:
+        q = (
+            spark.readStream.schema(schema)
+            .option("maxFilesPerTrigger", 1)
+            .parquet(os.path.join(stream_dir, "b*.parquet"))
+            .writeStream.foreachBatch(on_batch)
+            .trigger(availableNow=True)
+            .option("checkpointLocation", ckpt)
+            .start()
         )
-        .start()
-    )
-    q.awaitTermination()
+        q.awaitTermination()
     return {a: (r.model, r.total_messages) for a, r in coord.finish().items()}

@@ -1,24 +1,29 @@
 """Spark aggregation tests, oracle-checked against DuckDB.
 
-Every result-producing Spark aggregation is verified with
+The one Spark aggregation that feeds training is verified with
 ``repro.oracle.assert_equivalent`` running independent SQL over the same
-input events — catching any error in the counter-id arithmetic, the
-mapInPandas kernel, or the groupBy merge, not just "it ran".
+events — catching any error in the in-worker generation, the counter-id
+arithmetic, the mapInPandas kernel, or the groupBy merge of task
+partials, not just "it ran". Every range spans at least three sampling
+chunks, so the merge combines several tasks.
 """
 import numpy as np
+import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro import oracle
 from repro.bayesnet import networks
 from repro.bayesnet.cpd import GroundTruth
+from repro.bayesnet.sampling import CHUNK
 from repro.stream.aggregate import (
-    aggregate_events_df,
     aggregate_generated,
     aggregate_local,
     duckdb_counts_sql,
 )
 from repro.stream.events import events_pandas
+
+#: Two chunk boundaries inside: three tasks, the outer two partial.
+LO, HI = CHUNK - 700, 2 * CHUNK + 500
 
 
 @pytest.fixture(scope="module")
@@ -29,67 +34,49 @@ def gt():
     return GroundTruth.random(rng_net, seed=4)
 
 
+def generated_counts(spark, g, *, k, seed) -> pd.DataFrame:
+    cid, sid, n = aggregate_generated(spark, g, LO, HI, k=k, seed=seed)
+    return pd.DataFrame({"counter_id": cid, "site": sid, "n": n})
+
+
+def assert_matches_duckdb(got, g, *, k, seed):
+    events = events_pandas(g, LO, HI, k=k, seed=seed)
+    oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
+
+
 class TestOracle:
     def test_spark_counts_match_duckdb(self, spark, gt):
-        """The full Spark path (events DF -> mapInPandas kernel ->
+        """The Spark path (in-worker generation -> mapInPandas kernel ->
         groupBy) equals DuckDB's independent GROUP BY over the same
         events table."""
-        events = events_pandas(gt, 0, 4000, k=5, seed=7)
-        sdf = spark.createDataFrame(events)
-        got = aggregate_events_df(spark, gt.net, sdf, k=5)
-        oracle.assert_equivalent(got, duckdb_counts_sql(gt.net), events=events)
+        got = generated_counts(spark, gt, k=5, seed=7)
+        assert_matches_duckdb(got, gt, k=5, seed=7)
 
     def test_oracle_on_chain_network(self, spark):
         g = GroundTruth.random(networks.chain(4, J=3), seed=5)
-        events = events_pandas(g, 0, 2500, k=3, seed=8)
-        sdf = spark.createDataFrame(events)
-        got = aggregate_events_df(spark, g.net, sdf, k=3)
-        oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
+        assert_matches_duckdb(generated_counts(spark, g, k=3, seed=8), g, k=3, seed=8)
 
     @pytest.mark.parametrize("name", ["alarm"])
     def test_oracle_on_paper_network(self, spark, name):
         g = networks.ground_truth(name, seed=2)
-        events = events_pandas(g, 0, 1000, k=4, seed=2)
-        got = aggregate_events_df(spark, g.net, spark.createDataFrame(events), k=4)
-        oracle.assert_equivalent(got, duckdb_counts_sql(g.net), events=events)
+        assert_matches_duckdb(generated_counts(spark, g, k=4, seed=2), g, k=4, seed=2)
 
     def test_oracle_catches_wrong_result(self, spark, gt):
         """Negative control: a corrupted aggregation must fail the oracle."""
-        events = events_pandas(gt, 0, 500, k=3, seed=9)
-        sdf = spark.createDataFrame(events)
-        bad = aggregate_events_df(spark, gt.net, sdf, k=3).withColumn(
-            "n", F.col("n") + 1
-        )
+        bad = generated_counts(spark, gt, k=3, seed=9)
+        bad["n"] += 1
         with pytest.raises(AssertionError):
-            oracle.assert_equivalent(bad, duckdb_counts_sql(gt.net), events=events)
+            assert_matches_duckdb(bad, gt, k=3, seed=9)
 
 
 class TestPathAgreement:
     def test_generated_equals_local(self, spark, gt):
-        """Spark partition-local generation == driver reference, exactly."""
-        a = aggregate_generated(spark, gt, 0, 5000, k=5, seed=11, rows_per_task=700)
-        b = aggregate_local(gt, 0, 5000, k=5, seed=11)
+        """Spark partition-local generation == driver reference, exactly,
+        over a range whose chunk pieces run as separate tasks."""
+        a = aggregate_generated(spark, gt, LO, HI, k=5, seed=11)
+        b = aggregate_local(gt, LO, HI, k=5, seed=11)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
-
-    def test_generated_partition_split_invariant(self, spark, gt):
-        a = aggregate_generated(spark, gt, 0, 3000, k=4, seed=12, rows_per_task=500)
-        b = aggregate_generated(spark, gt, 0, 3000, k=4, seed=12, rows_per_task=3000)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_events_df_equals_local(self, spark, gt):
-        events = events_pandas(gt, 0, 2000, k=4, seed=13)
-        sdf = spark.createDataFrame(events)
-        pdf = (
-            aggregate_events_df(spark, gt.net, sdf, k=4)
-            .toPandas()
-            .sort_values(["counter_id", "site"])
-        )
-        cid, sid, n = aggregate_local(gt, 0, 2000, k=4, seed=13)
-        np.testing.assert_array_equal(pdf["counter_id"].to_numpy(), cid)
-        np.testing.assert_array_equal(pdf["site"].to_numpy(), sid)
-        np.testing.assert_array_equal(pdf["n"].to_numpy(), n)
 
 
 class TestAggregateInvariants:

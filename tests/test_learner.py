@@ -12,6 +12,7 @@ from repro.bayesnet.cpd import GroundTruth
 from repro.core import classify
 from repro.core.learner import train_many
 from repro.core.model import mean_abs_ratio_error
+from repro.experiments import ALGOS, Config
 from repro.stream.aggregate import aggregate_local
 
 
@@ -145,6 +146,33 @@ class TestCommunication:
                            seed=17, proto_c=0.1)
             out.append(r["nonuniform"].total_messages)
         assert out[1] < out[0]
+
+
+class TestPaperTables:
+    @pytest.mark.parametrize("name", ["alarm", "hepar2", "link", "munin"])
+    def test_table2_and_table3_findings(self, name):
+        """At m=10K with the experiments' settings: every approximate
+        classifier is within 0.08 of EXACTMLE's error (Table 2), and the
+        messages keep Table 3's ordering."""
+        cfg, m = Config(), 10_000
+        gt = networks.ground_truth(name)
+        res = train_many(
+            None, gt, ALGOS, m=m, k=cfg.k, eps=cfg.eps, seed=cfg.seed,
+            proto_c=cfg.proto_c,
+        )
+        Xt, targets = classify.make_tests(gt, 200, seed=cfg.seed + 1)
+        errs = {a: classify.error_rate(res[a].model, gt.net, Xt, targets) for a in ALGOS}
+        for a in ["baseline", "uniform", "nonuniform"]:
+            assert abs(errs[a] - errs["exact"]) < 0.08, (a, errs)
+        msgs = {a: res[a].total_messages for a in ALGOS}
+        assert msgs["exact"] == 2 * m * gt.net.n
+        # BASELINE's eps/(3n) counters may stay below their thinning
+        # threshold at this m on the large networks (every update is
+        # forwarded, = exact); UNIFORM/NONUNIFORM must thin.
+        assert msgs["baseline"] <= msgs["exact"]
+        for a in ["uniform", "nonuniform"]:
+            assert msgs[a] < msgs["exact"]
+        assert msgs["uniform"] <= msgs["baseline"]
 
 
 class TestNewAlarmHeterogeneity:

@@ -45,6 +45,27 @@ class TestDeterminism:
         assert sampling.sample_sites(10, 10, k=3, seed=1).shape == (0,)
 
 
+class TestChunkPieces:
+    def test_inside_one_chunk(self):
+        c = sampling.CHUNK
+        assert sampling.chunk_pieces(c + 10, c + 90) == [(c + 10, c + 90)]
+
+    def test_no_empty_piece_at_boundaries(self):
+        c = sampling.CHUNK
+        assert sampling.chunk_pieces(c, 3 * c) == [(c, 2 * c), (2 * c, 3 * c)]
+        assert sampling.chunk_pieces(c - 5, 2 * c) == [(c - 5, c), (c, 2 * c)]
+
+    def test_pieces_tile_range_within_chunks(self):
+        c = sampling.CHUNK
+        lo, hi = c - 300, 4 * c + 7
+        pieces = sampling.chunk_pieces(lo, hi)
+        assert len(pieces) == 5
+        assert [a for a, _ in pieces] == [lo] + [b for _, b in pieces[:-1]]
+        assert pieces[-1][1] == hi
+        for a, b in pieces:
+            assert a < b and a // c == (b - 1) // c
+
+
 class TestDistribution:
     def test_values_in_domain(self, chain_gt):
         X = sampling.sample_events(chain_gt, 0, 2000, seed=2)

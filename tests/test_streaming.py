@@ -1,5 +1,8 @@
 """Structured Streaming integration: the foreachBatch wiring produces
 the same learned state as the explicit micro-batch loop."""
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -62,3 +65,10 @@ class TestStructuredStreaming:
         out = run_streaming_learner(spark, gt, str(tmp_path), algos=["nb-shared"], **kw)
         ref = train_many(None, gt, ["nb-shared"], m=3000, first_batch=512, **kw)
         assert_same_as_driver(out, ref)
+
+    def test_leaves_no_temp_dirs(self, spark, staged, tmp_path, monkeypatch):
+        """The query's checkpoint lives only as long as the query."""
+        gt, d, _ = staged
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        run_streaming_learner(spark, gt, d, k=4, eps=0.1, algos=["exact"], seed=43)
+        assert os.listdir(tmp_path) == []
